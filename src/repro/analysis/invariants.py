@@ -59,7 +59,12 @@ OWNER_DECLARATION = "__nomad_owner_contexts__"
 #: Kernel entry points that mutate W and the token's h_j in place — a
 #: call to any of them is a factor write for NMD001 purposes.
 KERNEL_CALLS = frozenset(
-    {"process_column", "process_column_loss", "process_column_batch"}
+    {
+        "process_column",
+        "process_column_loss",
+        "process_column_batch",
+        "process_items",
+    }
 )
 
 #: Path segments whose modules feed reported timings (wall/join splits,

@@ -254,18 +254,20 @@ class ClusterNomad:
     ) -> None:
         """Deal every item token to a seed-determined worker, batched."""
         scatter = factory.pyrandom("cluster-scatter")
-        pending: list[list[wire.Token]] = [[] for _ in range(self.n_workers)]
-        for j in range(self.train.n_cols):
-            dest = scatter.randrange(self.n_workers)
-            pending[dest].append(wire.Token(item=j, queue_hint=0, h=init.h[j]))
-            if len(pending[dest]) >= self.batch_size:
+        dests = np.array(
+            [scatter.randrange(self.n_workers) for _ in range(self.train.n_cols)],
+            dtype=np.int64,
+        )
+        for dest in range(self.n_workers):
+            items = np.flatnonzero(dests == dest)
+            for start in range(0, items.size, self.batch_size):
+                chunk = items[start:start + self.batch_size]
                 transport.send(
-                    dest, wire.encode_tokens(pending[dest], self.hyper.k)
+                    dest,
+                    wire.encode_envelope(
+                        chunk, np.zeros_like(chunk), init.h[chunk]
+                    ),
                 )
-                pending[dest].clear()
-        for dest, batch in enumerate(pending):
-            if batch:
-                transport.send(dest, wire.encode_tokens(batch, self.hyper.k))
 
     # ------------------------------------------------------------------
     # Frame collection
@@ -342,14 +344,23 @@ class ClusterNomad:
         self, init: FactorPair, shards: dict[int, wire.ResultShard]
     ) -> FactorPair:
         """Rebuild (W, H) and verify token conservation."""
+        n_cols = self.train.n_cols
         w = np.array(init.w, dtype=np.float64)
         h = np.array(init.h, dtype=np.float64)
-        seen = np.zeros(self.train.n_cols, dtype=np.int64)
-        for shard in shards.values():
+        for q, shard in shards.items():
+            items = shard.held.items
+            bad = items[(items < 0) | (items >= n_cols)]
+            if bad.size:
+                raise ClusterError(
+                    f"worker {q} reported a held token for item "
+                    f"{int(bad[0])}, outside [0, {n_cols})"
+                )
             w[shard.rows] = shard.w
-            for token in shard.held:
-                seen[token.item] += 1
-                h[token.item] = token.h
+            h[items] = shard.held.h
+        seen = np.bincount(
+            np.concatenate([shard.held.items for shard in shards.values()]),
+            minlength=n_cols,
+        )
         if not np.all(seen == 1):
             lost = np.flatnonzero(seen == 0)
             duplicated = np.flatnonzero(seen > 1)

@@ -17,6 +17,13 @@ load), and the ``k`` floats of ``h_j`` — :data:`TOKEN_OVERHEAD_BYTES` +
 communication volumes stay comparable.  The envelope itself adds
 :data:`ENVELOPE_OVERHEAD_BYTES` of header once per batch.
 
+Token blocks are columnar on both sides of the codec: a
+:class:`TokenEnvelope` holds item ids, queue hints and an ``(n, k)``
+factor block, and a whole block is (de)serialized in one call through a
+structured big-endian record dtype ``[item >i8, hint >i8, h >f8×k]`` —
+the same bytes a per-token ``struct`` packing would produce, without a
+Python object per token.
+
 All integers are big-endian (network byte order); factor payloads are
 big-endian IEEE-754 doubles.  Decoding validates magic, version, and
 every length before reading, raising :class:`~repro.errors.WireError`
@@ -25,8 +32,10 @@ on truncated or foreign frames.
 
 from __future__ import annotations
 
+import functools
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
@@ -44,6 +53,7 @@ __all__ = [
     "Stop",
     "Fin",
     "ResultShard",
+    "encode_envelope",
     "encode_tokens",
     "encode_ready",
     "encode_peers",
@@ -67,7 +77,6 @@ _KIND_FIN = 5
 _KIND_RESULT = 6
 
 _TOKENS_HEAD = struct.Struct(">II")  # k, count
-_TOKEN_META = struct.Struct(">qq")  # item index, queue-size hint
 _READY_BODY = struct.Struct(">IH")  # worker id, listening port
 _PEER_ENTRY = struct.Struct(">IH")  # worker id, listening port
 _FIN_BODY = struct.Struct(">I")  # worker id
@@ -89,17 +98,23 @@ RESULT_OVERHEAD_BYTES = _HEADER.size + _RESULT_HEAD.size
 #: Non-payload bytes per token: item index + queue-size hint (§3.3).  Kept
 #: equal to the simulator cost model's ``_TOKEN_OVERHEAD_BYTES`` so one
 #: serialized token occupies exactly ``network.token_bytes(k)`` bytes.
-TOKEN_OVERHEAD_BYTES = _TOKEN_META.size
+TOKEN_OVERHEAD_BYTES = 2 * _I8.itemsize
+
+
+@functools.lru_cache(maxsize=None)
+def _token_dtype(k: int) -> np.dtype:
+    """Record layout of one serialized token at latent dimension ``k``."""
+    return np.dtype([("item", _I8), ("hint", _I8), ("h", _F8, (k,))])
 
 
 @dataclass
 class Token:
-    """One nomadic ``(j, h_j)`` pair in flight.
+    """One nomadic ``(j, h_j)`` pair, for building envelopes by hand.
 
     ``queue_hint`` is the sender's mailbox depth at send time — the §3.3
-    queue-size payload receivers may use for load-aware routing.  ``h`` is
-    a writable float64 vector: the current item factor, mutated in place
-    by the holder and re-serialized on the next hop.
+    queue-size payload receivers may use for load-aware routing.  Only
+    :func:`encode_tokens` takes these; decoding always yields a columnar
+    :class:`TokenEnvelope`.
     """
 
     item: int
@@ -109,10 +124,24 @@ class Token:
 
 @dataclass
 class TokenEnvelope:
-    """A §3.5 batch of tokens, decoded."""
+    """A §3.5 batch of tokens, columnar.
 
-    k: int
-    tokens: list[Token]
+    ``items`` and ``hints`` are ``(n,)`` int64 arrays (item ids and §3.3
+    queue hints); ``h`` is the ``(n, k)`` float64 block of their factor
+    rows.  Decoded envelopes own writable, native-endian copies.
+    """
+
+    items: np.ndarray
+    hints: np.ndarray
+    h: np.ndarray
+
+    @property
+    def k(self) -> int:
+        """Latent dimension of the factor block."""
+        return self.h.shape[1]
+
+    def __len__(self) -> int:
+        return self.items.shape[0]
 
 
 @dataclass(frozen=True)
@@ -158,8 +187,9 @@ class ResultShard:
 
     ``rows``/``w`` are the worker's user-factor shard (global row indices
     and their ``(len(rows), k)`` factor block); ``held`` is every token at
-    rest on the worker when the network went quiet — the coordinator
-    reassembles ``H`` from the union of all held tokens.
+    rest on the worker when the network went quiet, as one columnar
+    envelope — the coordinator reassembles ``H`` from the union of all
+    held tokens.
     """
 
     worker_id: int
@@ -167,7 +197,7 @@ class ResultShard:
     k: int
     rows: np.ndarray
     w: np.ndarray
-    held: list[Token] = field(default_factory=list)
+    held: TokenEnvelope
 
 
 def _check_k(k: int) -> None:
@@ -175,18 +205,22 @@ def _check_k(k: int) -> None:
         raise WireError(f"k must be >= 1, got {k}")
 
 
-def _pack_token_block(tokens: list[Token], k: int) -> bytes:
-    parts = []
-    for token in tokens:
-        h = np.ascontiguousarray(token.h, dtype=_F8)
-        if h.shape != (k,):
-            raise WireError(
-                f"token {token.item} payload has shape {h.shape}, "
-                f"expected ({k},)"
-            )
-        parts.append(_TOKEN_META.pack(token.item, token.queue_hint))
-        parts.append(h.tobytes())
-    return b"".join(parts)
+def _pack_token_block(
+    items: np.ndarray, hints: np.ndarray, h: np.ndarray, k: int
+) -> bytes:
+    """Serialize a columnar token block in one record-array pass."""
+    count = len(items)
+    h = np.asarray(h)
+    if h.shape != (count, k) or len(hints) != count:
+        raise WireError(
+            f"token block has {count} items, {len(hints)} hints and a "
+            f"{h.shape} factor block; expected ({count}, {k})"
+        )
+    block = np.empty(count, dtype=_token_dtype(k))
+    block["item"] = items
+    block["hint"] = hints
+    block["h"] = h
+    return block.tobytes()
 
 
 class _Reader:
@@ -196,23 +230,31 @@ class _Reader:
         self._data = data
         self._pos = 0
 
-    def take(self, n: int) -> bytes:
-        end = self._pos + n
-        if end > len(self._data):
+    def _advance(self, n: int) -> int:
+        """Bounds-check an ``n``-byte read; return its start offset."""
+        start = self._pos
+        if start + n > len(self._data):
             raise WireError(
-                f"truncated frame: wanted {n} bytes at offset {self._pos}, "
+                f"truncated frame: wanted {n} bytes at offset {start}, "
                 f"frame is {len(self._data)} bytes"
             )
-        chunk = self._data[self._pos:end]
-        self._pos = end
-        return chunk
+        self._pos = start + n
+        return start
+
+    def take(self, n: int) -> bytes:
+        start = self._advance(n)
+        return self._data[start:self._pos]
 
     def unpack(self, spec: struct.Struct) -> tuple:
-        return spec.unpack(self.take(spec.size))
+        return spec.unpack_from(self._data, self._advance(spec.size))
+
+    def records(self, dtype: np.dtype, count: int) -> np.ndarray:
+        """``count`` records of ``dtype``: a view of the frame, no copy."""
+        start = self._advance(dtype.itemsize * count)
+        return np.frombuffer(self._data, dtype=dtype, count=count, offset=start)
 
     def array(self, dtype: np.dtype, count: int) -> np.ndarray:
-        chunk = self.take(dtype.itemsize * count)
-        return np.frombuffer(chunk, dtype=dtype).astype(
+        return self.records(dtype, count).astype(
             np.float64 if dtype == _F8 else np.int64
         )
 
@@ -231,13 +273,46 @@ def _header(kind: int) -> bytes:
     return _HEADER.pack(_MAGIC, WIRE_VERSION, kind)
 
 
-def encode_tokens(tokens: list[Token], k: int) -> bytes:
-    """Serialize one §3.5 envelope of ``tokens`` with latent dimension ``k``."""
+def encode_envelope(
+    items: np.ndarray, hints: np.ndarray, h: np.ndarray
+) -> bytes:
+    """Serialize one §3.5 envelope from columnar token arrays.
+
+    ``items``/``hints`` are length-``n`` integer arrays and ``h`` the
+    ``(n, k)`` factor block; ``k`` is read from ``h``.
+    """
+    h = np.asarray(h)
+    if h.ndim != 2:
+        raise WireError(f"factor block must be 2-D, got shape {h.shape}")
+    k = h.shape[1]
     _check_k(k)
     return (
         _header(_KIND_TOKENS)
-        + _TOKENS_HEAD.pack(k, len(tokens))
-        + _pack_token_block(tokens, k)
+        + _TOKENS_HEAD.pack(k, len(items))
+        + _pack_token_block(items, hints, h, k)
+    )
+
+
+def encode_tokens(tokens: Sequence[Token], k: int) -> bytes:
+    """Serialize :class:`Token` records with latent dimension ``k``.
+
+    A convenience over :func:`encode_envelope` for hand-built envelopes
+    (tests, tools); the bytes go through the same record-array codec.
+    """
+    _check_k(k)
+    h = np.empty((len(tokens), k), dtype=np.float64)
+    for row, token in zip(h, tokens):
+        payload = np.asarray(token.h)
+        if payload.shape != (k,):
+            raise WireError(
+                f"token {token.item} payload has shape {payload.shape}, "
+                f"expected ({k},)"
+            )
+        row[:] = payload
+    return encode_envelope(
+        np.array([token.item for token in tokens], dtype=np.int64),
+        np.array([token.queue_hint for token in tokens], dtype=np.int64),
+        h,
     )
 
 
@@ -272,10 +347,10 @@ def encode_result(
     updates: int,
     rows: np.ndarray,
     w: np.ndarray,
-    held: list[Token],
+    held: TokenEnvelope,
     k: int,
 ) -> bytes:
-    """Serialize one worker's final shard + held tokens."""
+    """Serialize one worker's final shard + held tokens (columnar)."""
     _check_k(k)
     rows = np.ascontiguousarray(rows, dtype=_I8)
     w = np.ascontiguousarray(w, dtype=_F8)
@@ -289,18 +364,18 @@ def encode_result(
             _RESULT_HEAD.pack(worker_id, updates, k, rows.size, len(held)),
             rows.tobytes(),
             w.tobytes(),
-            _pack_token_block(held, k),
+            _pack_token_block(held.items, held.hints, held.h, k),
         )
     )
 
 
-def _decode_token_block(reader: _Reader, k: int, count: int) -> list[Token]:
-    tokens = []
-    for _ in range(count):
-        item, queue_hint = reader.unpack(_TOKEN_META)
-        tokens.append(Token(item=item, queue_hint=queue_hint,
-                            h=reader.array(_F8, k)))
-    return tokens
+def _decode_token_block(reader: _Reader, k: int, count: int) -> TokenEnvelope:
+    block = reader.records(_token_dtype(k), count)
+    return TokenEnvelope(
+        items=block["item"].astype(np.int64),
+        hints=block["hint"].astype(np.int64),
+        h=block["h"].astype(np.float64),
+    )
 
 
 def decode(body: bytes):
@@ -321,7 +396,7 @@ def decode(body: bytes):
     if kind == _KIND_TOKENS:
         k, count = reader.unpack(_TOKENS_HEAD)
         _check_k(k)
-        message = TokenEnvelope(k=k, tokens=_decode_token_block(reader, k, count))
+        message = _decode_token_block(reader, k, count)
     elif kind == _KIND_READY:
         worker_id, port = reader.unpack(_READY_BODY)
         message = Ready(worker_id=worker_id, port=port)

@@ -20,6 +20,12 @@ Algorithm 1 verbatim, with the communication layer made explicit:
 * finally it reports a :class:`~repro.cluster.wire.ResultShard`: its user
   factors, its update count, and every token at rest locally.
 
+The token path is columnar end to end: envelopes decode into arrays, the
+inbox is a preallocated ring of item ids and ``h`` rows, each burst runs
+through one shard-indexed kernel call
+(:meth:`~repro.linalg.backends.base.KernelBackend.process_items`) and is
+routed by one vectorised draw — no Python object per token.
+
 The same function serves the spawned-process TCP path
 (:func:`tcp_worker_entry`, which adds the ready/peers bootstrap
 handshake) and the in-process loopback path used by tests.
@@ -28,7 +34,6 @@ handshake) and the in-process loopback path used by tests.
 from __future__ import annotations
 
 import time
-from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
@@ -37,7 +42,7 @@ from ..config import HyperParams
 from ..datasets.ratings import Shard
 from ..errors import ClusterError
 from ..linalg.backends import get_backend
-from ..rng import derive_pyrandom
+from ..rng import derive_rng
 from ..telemetry import (
     C_BATCHES,
     C_DRAINS,
@@ -60,7 +65,9 @@ __all__ = ["WorkerSpec", "run_worker", "tcp_worker_entry"]
 #: nomadlint NMD001 owner contexts: ``run_worker`` is the Algorithm 1
 #: loop — its W block is private to this node and each ``h_j`` arrives
 #: as an owned token payload, so every factor write is owner-guarded.
-__nomad_owner_contexts__ = ("run_worker",)
+#: ``push``/``extend``/``take`` move those owned payloads through the
+#: worker's private inbox ring and per-peer outboxes.
+__nomad_owner_contexts__ = ("run_worker", "push", "extend", "take")
 
 #: Receive poll period while the inbox is empty, seconds.
 _POLL_SECONDS = 0.02
@@ -106,6 +113,114 @@ class WorkerSpec:
     telemetry: bool = False
 
 
+class _Inbox:
+    """The worker's token queue: a preallocated ring of item ids and rows.
+
+    Capacity is ``n_cols``: token conservation means no worker ever holds
+    more tokens than there are items, so a push that would overflow can
+    only come from a forged or duplicated token and raises
+    :class:`ClusterError`.  A burst is a contiguous slice of the ring (it
+    stops at the wrap point), so the kernel updates its ``h`` rows in
+    place.  With telemetry an arrival-stamp ring runs parallel to it: a
+    hop span measures local inbox residence, arrival to pop (tokens are
+    not re-stamped on the wire, so the token layout stays byte-identical
+    to the simulator's cost model).
+    """
+
+    def __init__(self, worker_id: int, capacity: int, k: int, stamped: bool):
+        self.worker_id = worker_id
+        self.items = np.empty(capacity, dtype=np.int64)
+        self.h = np.empty((capacity, k), dtype=np.float64)
+        self.arrivals = np.empty(capacity) if stamped else None
+        self.head = 0
+        self.depth = 0
+
+    def push(self, items: np.ndarray, h: np.ndarray) -> None:
+        """Append tokens at the tail (wrapping), stamping their arrival."""
+        n = items.shape[0]
+        capacity = self.items.shape[0]
+        if self.depth + n > capacity:
+            raise ClusterError(
+                f"worker {self.worker_id} would hold {self.depth + n} "
+                f"tokens but there are only {capacity} items; token "
+                "conservation violated"
+            )
+        if n == 0:
+            return
+        start = (self.head + self.depth) % capacity
+        first = min(n, capacity - start)
+        rest = n - first
+        self.items[start:start + first] = items[:first]
+        self.h[start:start + first] = h[:first]
+        self.items[:rest] = items[first:]
+        self.h[:rest] = h[first:]
+        if self.arrivals is not None:
+            stamp = clock()
+            self.arrivals[start:start + first] = stamp
+            self.arrivals[:rest] = stamp
+        self.depth += n
+
+    def pop(self, limit: int) -> slice:
+        """Remove up to ``limit`` tokens from the head; their ring slice.
+
+        The slice's slots stay intact until the next :meth:`push`.
+        """
+        capacity = self.items.shape[0]
+        count = min(self.depth, limit, capacity - self.head)
+        burst = slice(self.head, self.head + count)
+        self.head = (self.head + count) % capacity
+        self.depth -= count
+        return burst
+
+    def held(self) -> wire.TokenEnvelope:
+        """Every queued token in queue order, hinted by queue position."""
+        order = (self.head + np.arange(self.depth)) % self.items.shape[0]
+        return wire.TokenEnvelope(
+            self.items[order],
+            np.arange(self.depth - 1, -1, -1, dtype=np.int64),
+            self.h[order],
+        )
+
+
+class _Outbox:
+    """Routed tokens waiting for one peer; ships exact-size envelopes.
+
+    Between bursts fewer than ``batch_size`` tokens wait here, and a
+    burst adds at most :data:`_BURST`, so the buffers never grow.
+    """
+
+    def __init__(self, batch_size: int, k: int):
+        capacity = batch_size + _BURST
+        self.items = np.empty(capacity, dtype=np.int64)
+        self.hints = np.empty(capacity, dtype=np.int64)
+        self.h = np.empty((capacity, k), dtype=np.float64)
+        self.size = 0
+
+    def extend(self, items: np.ndarray, hints: np.ndarray, h: np.ndarray) -> None:
+        end = self.size + items.shape[0]
+        self.items[self.size:end] = items
+        self.hints[self.size:end] = hints
+        self.h[self.size:end] = h
+        self.size = end
+
+    def take(self, count: int) -> bytes:
+        """Encode the oldest ``count`` tokens as one envelope; drop them."""
+        body = wire.encode_envelope(
+            self.items[:count], self.hints[:count], self.h[:count]
+        )
+        rest = self.size - count
+        self.items[:rest] = self.items[count:self.size]
+        self.hints[:rest] = self.hints[count:self.size]
+        self.h[:rest] = self.h[count:self.size]
+        self.size = rest
+        return body
+
+    def held(self) -> wire.TokenEnvelope:
+        return wire.TokenEnvelope(
+            self.items[:self.size], self.hints[:self.size], self.h[:self.size]
+        )
+
+
 def run_worker(
     spec: WorkerSpec,
     transport: Transport,
@@ -133,33 +248,39 @@ def run_worker(
         vals=spec.shard_vals,
     )
     counts = np.zeros(shard.nnz, dtype=np.int64)
-    routing = derive_pyrandom(spec.seed, f"cluster-route-{spec.worker_id}")
+    routing = derive_rng(spec.seed, f"cluster-route-{spec.worker_id}")
     peers = [q for q in range(spec.n_workers) if q != spec.worker_id]
-    inbox: deque[wire.Token] = deque()
-    # Telemetry is local-only: tokens are NOT re-stamped on the wire (the
-    # token layout stays byte-identical to the simulator's cost model),
-    # so a hop span measures local inbox residence — arrival to pop —
-    # via this deque of arrival stamps kept parallel to ``inbox``.
     rec = Recorder(spec.worker_id) if spec.telemetry else None
-    arrivals: deque[float] = deque()
-    buffers: dict[int, list[wire.Token]] = {q: [] for q in peers}
+    inbox = _Inbox(spec.worker_id, spec.n_cols, k, stamped=rec is not None)
+    offsets = np.arange(_BURST, dtype=np.int64)
+    outboxes = {q: _Outbox(spec.batch_size, k) for q in peers}
     updates = 0
     stopping = False
     fins: set[int] = set()
     drain_deadline = float("inf")
 
-    def flush(dest: int) -> None:
-        batch = buffers[dest]
-        if batch:
-            transport.send(dest, wire.encode_tokens(batch, k))
-            batch.clear()
+    def accept(envelope: wire.TokenEnvelope) -> None:
+        items = envelope.items
+        # Item ids index the shard's CSC pointer inside a native kernel,
+        # so every one is range-checked first; viewed as unsigned, a
+        # negative id is huge, so one max() covers both bounds.
+        if items.size and items.view(np.uint64).max() >= spec.n_cols:
+            bad = items[(items < 0) | (items >= spec.n_cols)]
+            raise ClusterError(
+                f"worker {spec.worker_id} received a token for item "
+                f"{int(bad[0])}, outside [0, {spec.n_cols})"
+            )
+        if envelope.k != k:
+            raise ClusterError(
+                f"worker {spec.worker_id} received a k={envelope.k} token "
+                f"envelope; this run has k={k}"
+            )
+        inbox.push(items, envelope.h)
 
     def dispatch(message) -> None:
         nonlocal stopping, drain_deadline
         if isinstance(message, wire.TokenEnvelope):
-            inbox.extend(message.tokens)
-            if rec is not None:
-                arrivals.extend([clock()] * len(message.tokens))
+            accept(message)
         elif isinstance(message, wire.Stop):
             # Idempotent: the coordinator may re-broadcast Stop on its
             # failure path; a second one must not push the drain
@@ -182,7 +303,7 @@ def run_worker(
 
     while True:
         # Drain every frame already delivered; block only when idle.
-        timeout = 0.0 if (inbox and not stopping) else _POLL_SECONDS
+        timeout = 0.0 if (inbox.depth and not stopping) else _POLL_SECONDS
         if rec is not None and timeout > 0.0:
             poll_start = clock()
             body = transport.recv(timeout=timeout)
@@ -203,67 +324,65 @@ def run_worker(
                 break
             continue
 
-        # Pop one burst of tokens, run them through a single fused kernel
-        # call, then route.  The pop count is fixed before any self-hop
-        # re-append, so exactly the tokens the unbatched loop would have
-        # processed are processed, in the same order; each token's §3.3
-        # queue hint is stamped at its pop, when the depth is observed.
-        burst: list[wire.Token] = []
-        if rec is not None and inbox:
-            now = clock()
-            rec.point(POINT_QUEUE_DEPTH, len(inbox))
-            rec.add(C_DRAINS)
-        for _ in range(min(len(inbox), _BURST)):
-            token = inbox.popleft()
-            token.queue_hint = len(inbox)
+        # Pop one burst — a contiguous ring slice — run it through a
+        # single shard-indexed kernel call, then route.  Self-hops are
+        # re-pushed only after the whole burst is routed, so exactly the
+        # tokens the unbatched loop would have processed are processed,
+        # in the same order; each token's §3.3 queue hint is the depth
+        # observed at its pop.
+        depth = inbox.depth
+        if depth:
             if rec is not None:
-                arrived = arrivals.popleft()
-                rec.span(SPAN_HOP, arrived, now - arrived)
-            burst.append(token)
-        if rec is not None and burst:
-            rec.add(C_TOKENS, len(burst))
-        h_cols: list = []
-        col_users: list = []
-        col_ratings: list = []
-        col_counts: list = []
-        for token in burst:
-            users, ratings = shard.column(token.item)
-            if users.size:
-                lo, hi = shard.column_bounds(token.item)
-                h_cols.append(token.h)
-                col_users.append(users)
-                col_ratings.append(ratings)
-                col_counts.append(counts[lo:hi])
-        if h_cols:
+                now = clock()
+                rec.point(POINT_QUEUE_DEPTH, depth)
+                rec.add(C_DRAINS)
+            burst = inbox.pop(_BURST)
+            size = burst.stop - burst.start
+            items = inbox.items[burst]
+            h_burst = inbox.h[burst]  # a view: the kernel updates the ring
             if rec is not None:
+                rec.add(C_TOKENS, size)
+                for arrived in inbox.arrivals[burst].tolist():
+                    rec.span(SPAN_HOP, arrived, now - arrived)
                 kernel_start = clock()
-            applied = backend.process_column_batch(
-                w, h_cols, col_users, col_ratings, col_counts,
+            applied = backend.process_items(
+                w, h_burst, offsets[:size], items,
+                shard.ptr, shard.rows, shard.vals, counts,
                 hyper.alpha, hyper.beta, hyper.lambda_,
             )
-            updates += applied
-            if rec is not None:
-                rec.span(SPAN_KERNEL, kernel_start, clock() - kernel_start,
-                         applied)
-                rec.add(C_UPDATES, applied)
-                rec.add(C_BATCHES)
-        for token in burst:
-            dest = routing.randrange(spec.n_workers)
-            if dest == spec.worker_id:
-                inbox.append(token)  # a self-hop is a local queue push (§3.4)
+            if applied:
+                updates += applied
                 if rec is not None:
-                    arrivals.append(clock())
-            else:
-                buffers[dest].append(token)
-                if len(buffers[dest]) >= spec.batch_size:
-                    flush(dest)
-        if not inbox:
-            for q in peers:
-                flush(q)
+                    rec.span(SPAN_KERNEL, kernel_start,
+                             clock() - kernel_start, applied)
+                    rec.add(C_UPDATES, applied)
+                    rec.add(C_BATCHES)
+            # One draw routes the whole burst.  Every routed copy is taken
+            # (fancy indexing) before the self-hop push may reuse the
+            # burst's ring slots.
+            dests = routing.integers(spec.n_workers, size=size)
+            hints = depth - 1 - offsets[:size]
+            for q, outbox in outboxes.items():
+                to_q = dests == q
+                if to_q.any():
+                    outbox.extend(items[to_q], hints[to_q], h_burst[to_q])
+                    while outbox.size >= spec.batch_size:
+                        transport.send(q, outbox.take(spec.batch_size))
+            # A self-hop is a local queue push (§3.4).
+            home = dests == spec.worker_id
+            if home.any():
+                inbox.push(items[home], h_burst[home])
+        if not inbox.depth:
+            for q, outbox in outboxes.items():
+                if outbox.size:
+                    transport.send(q, outbox.take(outbox.size))
 
-    held = list(inbox)
-    for batch in buffers.values():
-        held.extend(batch)
+    parts = [inbox.held()] + [outbox.held() for outbox in outboxes.values()]
+    held = wire.TokenEnvelope(
+        np.concatenate([part.items for part in parts]),
+        np.concatenate([part.hints for part in parts]),
+        np.concatenate([part.h for part in parts]),
+    )
     if rec is not None:
         # Ship the telemetry snapshot ahead of the result on the same
         # link: TCP per-connection ordering then guarantees the

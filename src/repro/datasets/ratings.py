@@ -330,7 +330,11 @@ class Shard:
 
     This is the materialization of the paper's Ω̄^(q)_j: for every item
     ``j``, :meth:`column` returns the (user, rating) pairs of ``j`` whose
-    users belong to this worker's row partition.
+    users belong to this worker's row partition.  The underlying CSC
+    arrays (:attr:`ptr`, :attr:`rows`, :attr:`vals`) are exposed
+    read-only so shard-indexed kernels
+    (:meth:`~repro.linalg.backends.base.KernelBackend.process_items`)
+    can walk whole bursts of columns without per-column slicing.
     """
 
     def __init__(
@@ -352,6 +356,29 @@ class Shard:
             np.add.at(ptr, cols + 1, 1)
         np.cumsum(ptr, out=ptr)
         self._ptr = ptr
+        for array in (self._rows, self._vals, self._ptr):
+            array.setflags(write=False)
+
+    @property
+    def ptr(self) -> np.ndarray:
+        """CSC column pointer (read-only): item ``j``'s local ratings
+        occupy ``[ptr[j], ptr[j + 1])`` of :attr:`rows` / :attr:`vals`.
+
+        Callers keep per-rating side arrays (e.g. the step-size update
+        counters of equation 11) aligned with this storage order and
+        slice them per column without copies.
+        """
+        return self._ptr
+
+    @property
+    def rows(self) -> np.ndarray:
+        """User index of every local rating in storage order (read-only)."""
+        return self._rows
+
+    @property
+    def vals(self) -> np.ndarray:
+        """Value of every local rating in storage order (read-only)."""
+        return self._vals
 
     @property
     def nnz(self) -> int:
@@ -366,15 +393,6 @@ class Shard:
     def column_nnz(self, j: int) -> int:
         """Number of local ratings of item ``j`` — |Ω̄^(q)_j|."""
         return int(self._ptr[j + 1] - self._ptr[j])
-
-    def column_bounds(self, j: int) -> tuple[int, int]:
-        """Half-open range of item ``j`` inside this shard's storage order.
-
-        Lets callers maintain per-rating side arrays (e.g. the step-size
-        update counters of equation 11) aligned with the shard and slice
-        them per column without copies.
-        """
-        return int(self._ptr[j]), int(self._ptr[j + 1])
 
     def column_nnz_all(self) -> np.ndarray:
         """|Ω̄^(q)_j| for every item ``j`` as one array."""

@@ -144,6 +144,44 @@ class KernelBackend(abc.ABC):
             )
         return applied
 
+    def process_items(
+        self,
+        w: Any,
+        h: Any,
+        h_rows: Sequence[int],
+        items: Sequence[int],
+        ptr: Any,
+        users: Any,
+        ratings: Any,
+        counts: Any,
+        alpha: float,
+        beta: float,
+        lambda_: float,
+    ) -> int:
+        """Shard-indexed burst of :meth:`process_column` calls (square loss).
+
+        Token ``t`` is item ``items[t]``: its factor is row ``h_rows[t]``
+        of ``h`` and its local ratings are the CSC range
+        ``ptr[j]:ptr[j + 1]`` (``j = items[t]``) of ``users``,
+        ``ratings`` and ``counts`` — the arrays of a
+        :class:`~repro.datasets.ratings.Shard` plus its aligned counter
+        array, which must be an ndarray so the per-column slices are
+        mutable views.  Tokens run strictly in sequence (an item may
+        repeat), so the result is defined to be identical to looping
+        :meth:`process_column` over those slices — which is exactly what
+        this default does.  Compiled backends override it with one
+        native call per burst and no per-token argument marshalling.
+        """
+        applied = 0
+        for row, item in zip(h_rows, items):
+            lo, hi = ptr[item], ptr[item + 1]
+            if hi > lo:
+                applied += self.process_column(
+                    w, h[row], users[lo:hi], ratings[lo:hi], counts[lo:hi],
+                    alpha, beta, lambda_,
+                )
+        return applied
+
     @abc.abstractmethod
     def process_entries(
         self,

@@ -25,7 +25,10 @@ Two properties worth knowing:
 The fused :meth:`process_column_batch` amortizes the remaining per-call
 ctypes overhead across a burst of tokens: one native call walks several
 columns back to back, exactly equivalent to the sequential loop the
-default implementation performs.
+default implementation performs.  :meth:`process_items` goes further for
+callers that hold a CSC shard: the burst is described by a fixed set of
+arrays (item ids, factor rows, the shard's pointer/user/rating arrays),
+so no per-token pointer array is built at all.
 """
 
 from __future__ import annotations
@@ -62,6 +65,10 @@ def _bind(lib: ctypes.CDLL) -> ctypes.CDLL:
     lib.nomad_process_column_batch.restype = _i64
     lib.nomad_process_column_batch.argtypes = [
         _F8, _PTRS, _PTRS, _PTRS, _PTRS, _I8, _i64, _i64, _f64, _f64, _f64,
+    ]
+    lib.nomad_process_items.restype = _i64
+    lib.nomad_process_items.argtypes = [
+        _F8, _F8, _I8, _I8, _I8, _I8, _F8, _I8, _i64, _i64, _f64, _f64, _f64,
     ]
     lib.nomad_process_entries.restype = _i64
     lib.nomad_process_entries.argtypes = [
@@ -209,6 +216,29 @@ class CextBackend(NumpyBackend):
         applied = self._lib.nomad_process_column_batch(
             w_arr, h_ptrs, u_ptrs, r_ptrs, c_ptrs, lens, n_cols,
             h_arrs[0].shape[0], alpha, beta, lambda_,
+        )
+        _write_back(writebacks)
+        return applied
+
+    def process_items(
+        self, w, h, h_rows, items, ptr, users, ratings, counts, alpha, beta,
+        lambda_,
+    ) -> int:
+        n_items = len(items)
+        if n_items == 0:
+            return 0
+        writebacks: list = []
+        w_arr = _conform(w, np.float64, writebacks)
+        h_arr = _conform(h, np.float64, writebacks)
+        counts_arr = _conform(counts, np.int64, writebacks)
+        applied = self._lib.nomad_process_items(
+            w_arr, h_arr,
+            _conform(h_rows, np.int64, None),
+            _conform(items, np.int64, None),
+            _conform(ptr, np.int64, None),
+            _conform(users, np.int64, None),
+            _conform(ratings, np.float64, None),
+            counts_arr, n_items, h_arr.shape[1], alpha, beta, lambda_,
         )
         _write_back(writebacks)
         return applied

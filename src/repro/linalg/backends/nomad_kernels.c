@@ -94,6 +94,28 @@ int64_t nomad_process_column_batch(double *w, double *const *h_cols,
     return applied;
 }
 
+/* Shard-indexed burst: token t is item items[t], its factor row is
+ * h + h_rows[t] * k, and its local ratings are the CSC range
+ * ptr[items[t]] .. ptr[items[t] + 1] of the shard's users/ratings and the
+ * aligned counts array.  Tokens run in order (items may repeat), so the
+ * result is identical to n_items sequential nomad_process_column calls
+ * (square loss).  Item ids are validated by the caller. */
+int64_t nomad_process_items(double *w, double *h, const int64_t *h_rows,
+                            const int64_t *items, const int64_t *ptr,
+                            const int64_t *users, const double *ratings,
+                            int64_t *counts, int64_t n_items, int64_t k,
+                            double alpha, double beta, double lambda_) {
+    int64_t applied = 0;
+    for (int64_t t = 0; t < n_items; t++) {
+        int64_t lo = ptr[items[t]];
+        int64_t hi = ptr[items[t] + 1];
+        applied += nomad_process_column(w, h + h_rows[t] * k, users + lo,
+                                        ratings + lo, counts + lo, hi - lo,
+                                        k, alpha, beta, lambda_, 0, 0.0);
+    }
+    return applied;
+}
+
 /* Entries variant: an arbitrary list of observed (i, j) entries visited in
  * a given order.  scheduled != 0 uses the equation-(11) per-rating counter
  * schedule (alpha/beta, counts mutated); scheduled == 0 uses the single

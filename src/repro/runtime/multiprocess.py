@@ -204,25 +204,14 @@ def _worker_main(
                 for j in burst:
                     arrived = put_times[j]
                     rec.span(SPAN_HOP, arrived, now - arrived)
-            h_cols: list = []
-            col_users: list = []
-            col_ratings: list = []
-            col_counts: list = []
-            for token in burst:
-                users, ratings = shard.column(token)
-                if users.size:
-                    lo, hi = shard.column_bounds(token)
-                    h_cols.append(h[token])
-                    col_users.append(users)
-                    col_ratings.append(ratings)
-                    col_counts.append(counts[lo:hi])
-            if h_cols:
-                if rec is not None:
-                    kernel_start = clock()
-                applied = backend.process_column_batch(
-                    w, h_cols, col_users, col_ratings, col_counts,
-                    alpha, beta, lambda_,
-                )
+            if rec is not None:
+                kernel_start = clock()
+            items = np.array(burst, dtype=np.int64)
+            applied = backend.process_items(
+                w, h, items, items, shard.ptr, shard.rows, shard.vals,
+                counts, alpha, beta, lambda_,
+            )
+            if applied:
                 updates += applied
                 if rec is not None:
                     rec.span(

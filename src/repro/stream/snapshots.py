@@ -174,9 +174,23 @@ class SnapshotStore:
         arrivals_seen: int,
         updates_seen: int,
     ) -> ModelSnapshot:
-        """Freeze the given factors as the new serving snapshot."""
+        """Freeze the given factors as the new serving snapshot.
+
+        Raises :class:`~repro.errors.DataError` — rotating nothing, so
+        serving keeps the last good snapshot — when any factor entry is
+        not finite: a diverged trainer must fail loudly rather than have
+        every prediction answered with ``NaN``.
+        """
         w = np.ascontiguousarray(factors.w, dtype=np.float64).copy()
         h = np.ascontiguousarray(factors.h, dtype=np.float64).copy()
+        for name, block in (("W", w), ("H", h)):
+            if not np.isfinite(block).all():
+                bad = np.argwhere(~np.isfinite(block))[0].tolist()
+                raise DataError(
+                    f"refusing to rotate snapshot seq {self._next_seq}: "
+                    f"factor {name}{bad} is {block[tuple(bad)]} (the "
+                    "trainer diverged; lower the step size alpha)"
+                )
         w.setflags(write=False)
         h.setflags(write=False)
         snapshot = ModelSnapshot(

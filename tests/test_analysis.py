@@ -184,6 +184,13 @@ class TestAcceptanceCriteria:
         # The owner-guarded write in worker() is not flagged.
         assert "worker" not in symbols
 
+    def test_nmd001_covers_shard_indexed_kernel(self):
+        flagged = analyze_fixture("runtime/nmd001_items_flagged.py")
+        assert codes_of(flagged) == ["NMD001"]
+        assert {f.symbol for f in flagged.ratchet.new} == {"replay_burst"}
+        clean = analyze_fixture("runtime/nmd001_items_clean.py")
+        assert codes_of(clean) == []
+
     def test_nmd001_respects_owner_declaration(self, tmp_path):
         # Without a __nomad_owner_contexts__ declaration every factor
         # write in a substrate module is flagged — new substrates must

@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 
 from repro.config import HyperParams, RunConfig
+from repro.datasets.ratings import Shard
 from repro.core.nomad import NomadSimulation
 from repro.baselines.dsgd import DSGDSimulation
 from repro.baselines.hogwild import HogwildSimulation
@@ -147,6 +148,56 @@ class TestKernelEquivalence:
         for name in _available_backends():
             assert get_backend(name).process_column_batch(
                 [], [], [], [], [], ALPHA, BETA, LAMBDA
+            ) == 0
+
+    @pytest.mark.parametrize("name", ["list"] + OTHER_BACKENDS)
+    def test_process_items(self, name):
+        """The shard-indexed burst equals sequential process_column over
+        the Shard's CSC slices — including items with no local ratings
+        and an item repeated within one burst."""
+        w, h, rows, cols, vals, _ = _fixture(7, nnz=40)
+        cols = np.where(cols == 4, 2, cols)  # item 4 has no local ratings
+        shard = Shard(0, h.shape[0], rows, cols, vals)
+        items = np.array([3, 4, 2, 3, 0, 7, 4, 3], dtype=np.int64)
+        # Tokens carry their rows in a separate block (like the cluster
+        # inbox ring), in a different order than the item ids.
+        block = h[items[::-1]].copy()
+        h_rows = np.arange(items.size)[::-1].copy()
+
+        w_ref, block_ref = w.copy(), block.copy()
+        counts_ref = np.full(shard.nnz, 2, dtype=np.int64)
+        reference = ListBackend()
+        expected = 0
+        for row, j in zip(h_rows, items):
+            lo, hi = shard.ptr[j], shard.ptr[j + 1]
+            expected += reference.process_column(
+                w_ref, block_ref[row], shard.rows[lo:hi], shard.vals[lo:hi],
+                counts_ref[lo:hi], ALPHA, BETA, LAMBDA,
+            )
+
+        counts = np.full(shard.nnz, 2, dtype=np.int64)
+        applied = get_backend(name).process_items(
+            w, block, h_rows, items, shard.ptr, shard.rows, shard.vals,
+            counts, ALPHA, BETA, LAMBDA,
+        )
+        assert shard.column_nnz(4) == 0
+        assert applied == expected == sum(
+            shard.column_nnz(j) for j in items
+        )
+        assert np.allclose(w, w_ref, atol=ATOL)
+        assert np.allclose(block, block_ref, atol=ATOL)
+        assert counts.tolist() == counts_ref.tolist()
+        # Item 3 ran three times: its counters advanced by three.
+        assert (counts[shard.ptr[3]:shard.ptr[4]] == 5).all()
+
+    def test_process_items_empty(self):
+        shard = Shard(0, 3, np.zeros(0), np.zeros(0), np.zeros(0))
+        empty = np.zeros(0, dtype=np.int64)
+        for name in _available_backends():
+            assert get_backend(name).process_items(
+                np.zeros((2, 2)), np.zeros((3, 2)), empty, empty,
+                shard.ptr, shard.rows, shard.vals, empty,
+                ALPHA, BETA, LAMBDA,
             ) == 0
 
     @pytest.mark.parametrize("other", OTHER_BACKENDS)

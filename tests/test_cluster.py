@@ -12,7 +12,14 @@ import numpy as np
 import pytest
 
 from repro.api import ENGINES, fit
-from repro.cluster import ClusterNomad, ClusterResult, Token
+from repro.cluster import (
+    COORDINATOR,
+    ClusterNomad,
+    ClusterResult,
+    LoopbackHub,
+    WorkerSpec,
+    run_worker,
+)
 from repro.cluster import wire
 from repro.cli import main as cli_main
 from repro.config import HyperParams, RunConfig
@@ -128,10 +135,10 @@ class TestTokenConservation:
     def _shards(self, runner, held_items):
         rows = np.arange(runner.train.n_rows, dtype=np.int64)
         w = np.zeros((rows.size, HYPER.k))
-        held = [
-            Token(item=j, queue_hint=0, h=np.zeros(HYPER.k))
-            for j in held_items
-        ]
+        items = np.array(list(held_items), dtype=np.int64)
+        held = wire.TokenEnvelope(
+            items, np.zeros_like(items), np.zeros((items.size, HYPER.k))
+        )
         return {
             0: wire.ResultShard(
                 worker_id=0, updates=0, k=HYPER.k, rows=rows, w=w, held=held
@@ -232,6 +239,90 @@ class TestClusterFailureHandling:
             t for t in threading.enumerate() if t.name == "cluster-1"
         ]
         assert not survivors  # the surviving worker exited with run()
+
+
+class TestForgedTokens:
+    """Item ids index a native CSC kernel, so each is range-checked."""
+
+    def _spec(self, train):
+        rows, cols, vals = train.rows, train.cols, train.vals
+        return WorkerSpec(
+            worker_id=0, n_workers=1, n_cols=train.n_cols,
+            hyper=HYPER, backend_name="numpy", seed=0, batch_size=4,
+            shard_rows=rows, shard_cols=cols, shard_vals=vals,
+            w_rows=np.arange(train.n_rows),
+            w_init=np.zeros((train.n_rows, HYPER.k)),
+        )
+
+    def _forge(self, hub, items):
+        items = np.asarray(items, dtype=np.int64)
+        body = wire.encode_envelope(
+            items, np.zeros_like(items), np.zeros((items.size, HYPER.k))
+        )
+        hub.transport(COORDINATOR).send(0, body)
+
+    @pytest.mark.parametrize("item", [-1, 10**6])
+    def test_out_of_range_item_rejected(self, tiny_split, item):
+        train, _ = tiny_split
+        hub = LoopbackHub()
+        worker_transport = hub.transport(0)
+        self._forge(hub, [0, 1, item, 2])
+        with pytest.raises(ClusterError, match=f"worker 0 .*item {item}"):
+            run_worker(self._spec(train), worker_transport)
+
+    def test_duplicate_tokens_overflow_rejected(self, tiny_split):
+        """More tokens than items can only mean forged duplicates."""
+        train, _ = tiny_split
+        hub = LoopbackHub()
+        worker_transport = hub.transport(0)
+        self._forge(hub, np.arange(train.n_cols))
+        self._forge(hub, [0])
+        with pytest.raises(ClusterError, match="conservation"):
+            run_worker(self._spec(train), worker_transport)
+
+    def test_assemble_rejects_out_of_range_held_item(self, tiny_split):
+        train, test = tiny_split
+        runner = ClusterNomad(
+            train, test, n_workers=1, hyper=HYPER, transport="loopback"
+        )
+        init = init_factors(
+            train.n_rows, train.n_cols, HYPER.k, RngFactory(0).stream("init")
+        )
+        items = np.array([-1] + list(range(1, train.n_cols)), dtype=np.int64)
+        shard = wire.ResultShard(
+            worker_id=0, updates=0, k=HYPER.k,
+            rows=np.arange(train.n_rows), w=init.w,
+            held=wire.TokenEnvelope(
+                items, np.zeros_like(items), init.h[: items.size]
+            ),
+        )
+        with pytest.raises(ClusterError, match="worker 0 .*item -1"):
+            runner._assemble(init, {0: shard})
+
+
+class TestClusterTelemetryCounters:
+    def test_loopback_counters_match_updates(self, small_split):
+        """Per worker and summed, C_UPDATES equals the reported updates;
+        every popped token got a hop span; queue depths were sampled."""
+        from repro.telemetry import POINT_QUEUE_DEPTH, SPAN_HOP
+
+        train, test = small_split
+        result = ClusterNomad(
+            train, test, n_workers=3, hyper=HYPER, seed=4,
+            transport="loopback", telemetry=True,
+        ).run(duration_seconds=0.3)
+        workers = {w.worker_id: w for w in result.telemetry.workers}
+        assert sorted(workers) == [0, 1, 2]
+        total = 0
+        for q, worker in workers.items():
+            counters = worker.counters
+            assert counters["updates"] == result.updates_per_worker[q]
+            total += counters["updates"]
+            assert 0 < counters["batches"] <= counters["drains"]
+            hops = sum(1 for e in worker.events if e[0] == SPAN_HOP)
+            assert hops + worker.dropped >= counters["tokens"] > 0
+            assert any(e[0] == POINT_QUEUE_DEPTH for e in worker.events)
+        assert total == result.updates
 
 
 class TestClusterConfig:

@@ -15,64 +15,94 @@ from repro.errors import ClusterError, WireError
 from repro.simulator.network import token_bytes
 
 
-def make_tokens(n: int, k: int, seed: int = 0) -> list[wire.Token]:
+def make_envelope(n: int, k: int, seed: int = 0) -> wire.TokenEnvelope:
     rng = np.random.default_rng(seed)
-    return [
-        wire.Token(item=i, queue_hint=i * 3, h=rng.standard_normal(k))
-        for i in range(n)
-    ]
+    return wire.TokenEnvelope(
+        items=np.arange(n, dtype=np.int64),
+        hints=np.arange(n, dtype=np.int64) * 3,
+        h=rng.standard_normal((n, k)),
+    )
+
+
+def encode(envelope: wire.TokenEnvelope) -> bytes:
+    return wire.encode_envelope(envelope.items, envelope.hints, envelope.h)
 
 
 class TestTokenEnvelope:
     def test_single_token_round_trip(self):
-        (token,) = make_tokens(1, k=4)
-        decoded = wire.decode(wire.encode_tokens([token], 4))
+        sent = make_envelope(1, k=4)
+        decoded = wire.decode(encode(sent))
         assert isinstance(decoded, wire.TokenEnvelope)
         assert decoded.k == 4
-        (out,) = decoded.tokens
-        assert out.item == token.item
-        assert out.queue_hint == token.queue_hint
-        np.testing.assert_array_equal(out.h, token.h)
+        assert len(decoded) == 1
+        assert decoded.items.tolist() == sent.items.tolist()
+        assert decoded.hints.tolist() == sent.hints.tolist()
+        np.testing.assert_array_equal(decoded.h, sent.h)
 
     def test_full_batch_round_trip(self):
-        tokens = make_tokens(100, k=8)
-        decoded = wire.decode(wire.encode_tokens(tokens, 8))
-        assert len(decoded.tokens) == 100
-        for sent, received in zip(tokens, decoded.tokens):
-            assert received.item == sent.item
-            assert received.queue_hint == sent.queue_hint
-            np.testing.assert_array_equal(received.h, sent.h)
+        sent = make_envelope(100, k=8)
+        decoded = wire.decode(encode(sent))
+        assert len(decoded) == 100
+        np.testing.assert_array_equal(decoded.items, sent.items)
+        np.testing.assert_array_equal(decoded.hints, sent.hints)
+        np.testing.assert_array_equal(decoded.h, sent.h)
 
     def test_empty_envelope_round_trip(self):
-        decoded = wire.decode(wire.encode_tokens([], 5))
-        assert decoded.tokens == []
+        decoded = wire.decode(encode(make_envelope(0, k=5)))
+        assert len(decoded) == 0
+        assert decoded.k == 5
 
     def test_decoded_payload_is_writable(self):
         """Receivers mutate h_j in place; a read-only buffer view would
         crash the SGD kernel."""
-        (token,) = make_tokens(1, k=4)
-        decoded = wire.decode(wire.encode_tokens([token], 4))
-        decoded.tokens[0].h[0] = 42.0  # must not raise
+        decoded = wire.decode(encode(make_envelope(1, k=4)))
+        decoded.h[0, 0] = 42.0  # must not raise
+        assert decoded.h.dtype == np.float64
+        assert decoded.h.flags.c_contiguous
+
+    def test_golden_bytes_match_per_token_layout(self):
+        """The record-array codec emits exactly the per-token layout:
+        frame header, (k, count), then per token a big-endian
+        (item, hint) pair followed by k big-endian doubles."""
+        import struct
+
+        h = np.arange(12, dtype=np.float64).reshape(3, 4) / 8.0 - 0.5
+        items = np.array([7, 0, 123456789], dtype=np.int64)
+        hints = np.array([2, 1, 0], dtype=np.int64)
+        body = wire.encode_envelope(items, hints, h)
+        expected = b"NM" + bytes([wire.WIRE_VERSION, 1])
+        expected += struct.pack(">II", 4, 3)
+        for item, hint, row in zip(items.tolist(), hints.tolist(), h):
+            expected += struct.pack(">qq", item, hint)
+            expected += struct.pack(">4d", *row.tolist())
+        assert body == expected
+        assert len(body) == wire.ENVELOPE_OVERHEAD_BYTES + 3 * token_bytes(4)
+        # The Token convenience goes through the same codec.
+        tokens = [
+            wire.Token(item=i, queue_hint=q, h=row)
+            for i, q, row in zip(items.tolist(), hints.tolist(), h)
+        ]
+        assert wire.encode_tokens(tokens, 4) == expected
 
     def test_truncated_frame_rejected(self):
-        body = wire.encode_tokens(make_tokens(3, k=4), 4)
+        body = encode(make_envelope(3, k=4))
         for cut in (len(body) - 1, len(body) - 20, 5, 3):
             with pytest.raises(WireError, match="truncated"):
                 wire.decode(body[:cut])
 
     def test_trailing_garbage_rejected(self):
-        body = wire.encode_tokens(make_tokens(2, k=4), 4)
+        body = encode(make_envelope(2, k=4))
         with pytest.raises(WireError, match="trailing"):
             wire.decode(body + b"\x00")
 
     def test_bad_magic_rejected(self):
-        body = bytearray(wire.encode_tokens(make_tokens(1, k=4), 4))
+        body = bytearray(encode(make_envelope(1, k=4)))
         body[0:2] = b"XX"
         with pytest.raises(WireError, match="magic"):
             wire.decode(bytes(body))
 
     def test_version_skew_rejected(self):
-        body = bytearray(wire.encode_tokens(make_tokens(1, k=4), 4))
+        body = bytearray(encode(make_envelope(1, k=4)))
         body[2] = wire.WIRE_VERSION + 1
         with pytest.raises(WireError, match="version"):
             wire.decode(bytes(body))
@@ -87,6 +117,10 @@ class TestTokenEnvelope:
         token = wire.Token(item=0, queue_hint=0, h=np.zeros(3))
         with pytest.raises(WireError, match="shape"):
             wire.encode_tokens([token], 4)
+        with pytest.raises(WireError, match="factor block"):
+            wire.encode_envelope(
+                np.arange(2), np.zeros(2, dtype=np.int64), np.zeros((3, 4))
+            )
 
 
 class TestCostModelConsistency:
@@ -95,7 +129,7 @@ class TestCostModelConsistency:
     @pytest.mark.parametrize("k", [1, 8, 32, 100])
     @pytest.mark.parametrize("batch", [1, 7, 100])
     def test_envelope_size_matches_token_bytes(self, k, batch):
-        body = wire.encode_tokens(make_tokens(batch, k), k)
+        body = encode(make_envelope(batch, k))
         assert len(body) == (
             wire.ENVELOPE_OVERHEAD_BYTES + batch * token_bytes(k)
         )
@@ -143,7 +177,7 @@ class TestControlFrames:
         rng = np.random.default_rng(5)
         rows = np.array([4, 9, 17], dtype=np.int64)
         w = rng.standard_normal((3, 6))
-        held = make_tokens(4, k=6, seed=1)
+        held = make_envelope(4, k=6, seed=1)
         decoded = wire.decode(
             wire.encode_result(2, 12345, rows, w, held, 6)
         )
@@ -154,12 +188,14 @@ class TestControlFrames:
         np.testing.assert_array_equal(decoded.rows, rows)
         np.testing.assert_array_equal(decoded.w, w)
         assert len(decoded.held) == 4
-        np.testing.assert_array_equal(decoded.held[2].h, held[2].h)
+        np.testing.assert_array_equal(decoded.held.items, held.items)
+        np.testing.assert_array_equal(decoded.held.h, held.h)
 
     def test_result_shape_mismatch_rejected(self):
         with pytest.raises(WireError, match="shape"):
             wire.encode_result(
-                0, 1, np.array([1, 2]), np.zeros((3, 4)), [], 4
+                0, 1, np.array([1, 2]), np.zeros((3, 4)),
+                make_envelope(0, k=4), 4,
             )
 
 
@@ -214,12 +250,11 @@ class TestTcpTransport:
             assert received == frames
 
     def test_wire_messages_over_tcp(self):
-        tokens = make_tokens(10, k=4)
         with TcpTransport(0) as a, TcpTransport(1) as b:
             a.register_peer(1, "127.0.0.1", b.port)
-            a.send(1, wire.encode_tokens(tokens, 4))
+            a.send(1, encode(make_envelope(10, k=4)))
             decoded = wire.decode(b.recv(timeout=2.0))
-            assert [t.item for t in decoded.tokens] == list(range(10))
+            assert decoded.items.tolist() == list(range(10))
 
     def test_unregistered_peer_rejected(self):
         with TcpTransport(0) as a:

@@ -271,12 +271,18 @@ class TestShards:
             total = sum(shard.column_nnz(j) for shard in shards)
             assert total == matrix.users_of_item(j)[0].size
 
-    def test_shard_column_bounds_align(self):
+    def test_shard_csc_arrays_align(self):
         matrix = make_matrix()
         (shard,) = matrix.shard_by_rows([np.arange(3)])
+        ptr = shard.ptr
         for j in range(matrix.n_cols):
-            lo, hi = shard.column_bounds(j)
-            assert hi - lo == shard.column_nnz(j)
+            assert ptr[j + 1] - ptr[j] == shard.column_nnz(j)
+            users, vals = shard.column(j)
+            assert users.tolist() == shard.rows[ptr[j]:ptr[j + 1]].tolist()
+            assert vals.tolist() == shard.vals[ptr[j]:ptr[j + 1]].tolist()
+        for array in (shard.ptr, shard.rows, shard.vals):
+            with pytest.raises(ValueError):
+                array[0] = 0
 
     def test_overlapping_partition_rejected(self):
         matrix = make_matrix()

@@ -585,6 +585,43 @@ class TestService:
         # The closing rotation reflects every arrival.
         assert svc.store.latest.arrivals_seen == 7
 
+    # The interpreted kernels warn on the deliberate overflow.
+    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+    def test_diverged_trainer_degrades_and_keeps_last_snapshot(self):
+        """A forced-divergence schedule (a huge step size, no warm-up
+        sweeps so the seq-0 snapshot is the finite initialization) must
+        surface as a trainer error under ``/health`` while reads keep
+        coming, finite, from the last finite snapshot."""
+        import math
+        import time
+
+        config = ServiceConfig(**dict(FAST, warmup_epochs=0))
+        hyper = HyperParams(k=4, alpha=1e6, beta=0.0)
+        svc = RecommendationService(make_warmup(), hyper, config).start()
+        try:
+            assert svc.store.latest.seq == 0
+            http_post(
+                svc.url + "/ratings",
+                {"ratings": fresh_pairs(svc.warmup, 25)},
+            )
+            deadline = time.monotonic() + 30
+            while svc.trainer_error is None:
+                assert time.monotonic() < deadline, "trainer never failed"
+                time.sleep(0.02)
+            assert "DataError" in svc.trainer_error
+            assert "refusing to rotate" in svc.trainer_error
+            _, health = http_get(svc.url + "/health")
+            assert health["status"] == "degraded"
+            assert svc.store.latest.seq == 0
+            _, predicted = http_get(svc.url + "/predict?user=1&item=2")
+            assert predicted["snapshot_seq"] == 0
+            assert math.isfinite(predicted["prediction"])
+            _, recommended = http_get(svc.url + "/recommend?user=1&n=3")
+            assert len(recommended["items"]) == 3
+        finally:
+            svc.stop()
+
     def test_double_start_rejected(self, service):
         with pytest.raises(ServeError, match="already started"):
             service.start()

@@ -293,6 +293,18 @@ class TestSnapshotStore:
         with pytest.raises(ValueError):
             snapshot.model.factors.w[0, 0] = 1.0
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_factors_refused(self, bad):
+        """A diverged trainer must not become the serving snapshot."""
+        store = SnapshotStore()
+        good = store.rotate(self._factors(0), 0.0, 0, 0)
+        diverged = self._factors(1)
+        diverged.h[2, 1] = bad
+        with pytest.raises(DataError, match=r"seq 1: factor H\[2, 1\]"):
+            store.rotate(diverged, 1.0, 10, 100)
+        assert store.latest is good
+        assert store.rotations == 1
+
     def test_eviction_keeps_newest(self):
         store = SnapshotStore(max_keep=2)
         for i in range(5):
